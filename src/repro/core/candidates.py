@@ -13,8 +13,22 @@ Example 3.6 relate to the borders of the positive tuples:
    answer variables, the remaining constants become either variables or
    constants (both variants are generated, governed by the policy);
 3. enumerate connected sub-conjunctions up to ``max_atoms`` atoms that
-   mention every answer variable;
-4. deduplicate by canonical signature (and optionally semantically).
+   mention every answer variable.  Subsets are *grown* from the facts
+   that mention an answer constant, one fact at a time, through a
+   constant → fact adjacency of the border, so the work is proportional
+   to the connected subsets rather than to all ``≤ max_atoms``-subsets
+   of the border; each size class comes out in sorted fact-index order,
+   which is exactly ``itertools.combinations`` order;
+4. deduplicate by canonical signature (and optionally semantically),
+   computing the signature on the abstracted body so a query object is
+   built only for an unseen one.
+
+A seed's pool is a function of its border's content and the generator's
+configuration, so it is tabled in the specification's shared
+:class:`~repro.engine.cache.EvaluationCache` under exactly that key
+(answer tabling keyed by the call pattern): a long-lived service asking
+for the same positive tuple again reuses the pool, and a database write
+that changes the border changes the key.
 
 The resulting pool contains, for the paper's university example, the
 queries ``q1``, ``q2`` and ``q3`` of Example 3.6 among others.
@@ -22,18 +36,16 @@ queries ``q1``, ``q2`` and ``q3`` of Example 3.6 among others.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..dl.reasoner import Reasoner
-from ..errors import ExplanationError, QueryArityError, UnsafeQueryError
+from ..errors import QueryArityError, UnsafeQueryError
 from ..obdm.chase import ChaseEngine, is_labelled_null
 from ..obdm.system import OBDMSystem
 from ..queries.atoms import Atom
 from ..queries.containment import deduplicate_queries
-from ..queries.cq import ConjunctiveQuery
-from ..queries.terms import Constant, Term, Variable, VariableFactory, is_constant
+from ..queries.cq import ConjunctiveQuery, canonical_signature
+from ..queries.terms import Constant, Term, Variable, VariableFactory
 from .border import Border, BorderComputer
 from .labeling import ConstantTuple, Labeling, normalize_tuple
 
@@ -125,7 +137,7 @@ class CandidateGenerator:
         self.radius = radius
         self.config = config or CandidateConfig()
         self.borders = border_computer or BorderComputer(system.database)
-        self._chaser = ChaseEngine(system.ontology)
+        self._cache = system.specification.engine.cache
         self._skipped_variants = 0
 
     # -- public API --------------------------------------------------------
@@ -149,6 +161,11 @@ class CandidateGenerator:
         ``unexplored_seeds`` the seeds never visited, and
         ``pool.exhausted`` is True exactly when neither fired — i.e.
         when ``generated`` describes the complete candidate space.
+
+        Each seed's candidates come from :meth:`candidates_for`, which
+        reuses a tabled pool when the seed's border content was seen
+        before; the accounting above is recomputed on every call, so a
+        tabled pool is reported exactly like a freshly enumerated one.
         """
         seeds = sorted(labeling.positives, key=repr)
         if self.config.max_positive_seeds is not None:
@@ -185,9 +202,33 @@ class CandidateGenerator:
         )
 
     def candidates_for(self, raw, pruner=None) -> List[ConjunctiveQuery]:
-        """Candidate queries abstracted from one positive tuple's border."""
+        """Candidate queries abstracted from one positive tuple's border.
+
+        Without a pruner the result is tabled in the shared evaluation
+        cache, keyed by the tuple, its border's atoms and the
+        configuration fields the abstraction reads.  The key is the
+        content the pool is computed from, so it can never be stale; a
+        fresh list is returned because callers extend pools.  Calls
+        with a pruner depend on the pruner's labeling and are not tabled.
+        """
         key = normalize_tuple(raw)
         border = self.borders.border(key, self.radius)
+        if pruner is not None:
+            return self._abstract(key, border, pruner)
+        config = self.config
+        table_key = (
+            key,
+            border.atoms,
+            config.max_atoms,
+            config.max_kept_constants,
+            config.saturate,
+            config.include_most_specific,
+        )
+        return list(
+            self._cache.candidate_pool(table_key, lambda: tuple(self._abstract(key, border)))
+        )
+
+    def _abstract(self, key: ConstantTuple, border: Border, pruner=None) -> List[ConjunctiveQuery]:
         facts = self._ontology_facts(border)
         if not facts:
             return []
@@ -216,7 +257,9 @@ class CandidateGenerator:
         abox = self.system.specification.retrieve_abox(sub_database)
         facts = set(abox.facts)
         if self.config.saturate:
-            facts = set(self._chaser.chase(facts))
+            # A fresh chase per border: labelled-null names then depend on
+            # the border alone, as the tabled pool's key requires.
+            facts = set(ChaseEngine(self.system.ontology).chase(facts))
         # Atoms whose every argument is a labelled null cannot contribute a
         # useful query atom (they would become a disconnected conjunct).
         return frozenset(
@@ -246,6 +289,7 @@ class _BorderAbstraction:
         for constant, variable in zip(key, answer_variables):
             self._constant_to_term[constant] = variable
         self._other_variable: Dict[Constant, Variable] = {}
+        self._abstracted: Dict[Tuple[Atom, FrozenSet[Constant]], Atom] = {}
         for fact in self.facts:
             for argument in fact.args:
                 if argument not in self._constant_to_term and argument not in self._other_variable:
@@ -254,15 +298,19 @@ class _BorderAbstraction:
     # -- abstraction ------------------------------------------------------------
 
     def _abstract_atom(self, fact: Atom, kept: FrozenSet[Constant]) -> Atom:
-        arguments: List[Term] = []
-        for argument in fact.args:
-            if argument in self._constant_to_term:
-                arguments.append(self._constant_to_term[argument])
-            elif argument in kept and not is_labelled_null(argument):
-                arguments.append(argument)
-            else:
-                arguments.append(self._other_variable[argument])
-        return Atom(fact.predicate, tuple(arguments))
+        # A fact recurs in many subsets under the same kept constants.
+        atom = self._abstracted.get((fact, kept))
+        if atom is None:
+            arguments: List[Term] = []
+            for argument in fact.args:
+                if argument in self._constant_to_term:
+                    arguments.append(self._constant_to_term[argument])
+                elif argument in kept and not is_labelled_null(argument):
+                    arguments.append(argument)
+                else:
+                    arguments.append(self._other_variable[argument])
+            atom = self._abstracted[(fact, kept)] = Atom(fact.predicate, tuple(arguments))
+        return atom
 
     def _answer_constants(self) -> Set[Constant]:
         return set(self.key)
@@ -278,6 +326,11 @@ class _BorderAbstraction:
     ) -> List[ConjunctiveQuery]:
         """All connected sub-conjunctions up to ``max_atoms`` atoms.
 
+        Fact subsets come from :meth:`admissible_subsets`, in ascending
+        size and, within a size, in sorted fact-index order.  Each
+        abstracted body's canonical signature is computed first and a
+        :class:`ConjunctiveQuery` is built only for an unseen one.
+
         With a pruner, each admissible subset is first checked through
         its *widest* abstraction (no constants kept: variabilising an
         argument only ever widens an atom's provenance support, so a
@@ -289,35 +342,78 @@ class _BorderAbstraction:
         queries: List[ConjunctiveQuery] = []
         seen: Set[Tuple] = set()
         self.skipped = 0
-        for size in range(1, max_atoms + 1):
-            for subset in itertools.combinations(self.facts, size):
-                if not self._is_admissible(subset):
+        for indexes in self.admissible_subsets(max_atoms):
+            subset = tuple(self.facts[index] for index in indexes)
+            if pruner is not None and not pruner.admits(
+                tuple(self._abstract_atom(fact, frozenset()) for fact in subset)
+            ):
+                # The whole subset dies; count every kept-constant
+                # variant it would have produced, so callers can
+                # bound how many queries pruning hid (the cutoff
+                # certificate in BestDescriptionSearch.search needs
+                # an upper bound, not the number of oracle calls).
+                self.skipped += sum(
+                    1 for _ in self._constant_subsets(subset, max_kept_constants)
+                )
+                continue
+            for kept in self._constant_subsets(subset, max_kept_constants):
+                body = tuple(self._abstract_atom(fact, kept) for fact in subset)
+                if pruner is not None and kept and not pruner.admits(body):
+                    self.skipped += 1
                     continue
-                if pruner is not None and not pruner.admits(
-                    tuple(self._abstract_atom(fact, frozenset()) for fact in subset)
-                ):
-                    # The whole subset dies; count every kept-constant
-                    # variant it would have produced, so callers can
-                    # bound how many queries pruning hid (the cutoff
-                    # certificate in BestDescriptionSearch.search needs
-                    # an upper bound, not the number of oracle calls).
-                    self.skipped += sum(
-                        1 for _ in self._constant_subsets(subset, max_kept_constants)
-                    )
+                signature = canonical_signature(self.answer_variables, body)
+                if signature in seen:
                     continue
-                for kept in self._constant_subsets(subset, max_kept_constants):
-                    body = tuple(self._abstract_atom(fact, kept) for fact in subset)
-                    if pruner is not None and kept and not pruner.admits(body):
-                        self.skipped += 1
-                        continue
-                    query = self._safe_query(body)
-                    if query is None:
-                        continue
-                    signature = query.signature()
-                    if signature not in seen:
-                        seen.add(signature)
-                        queries.append(query)
+                query = self._safe_query(body, signature)
+                if query is not None:
+                    seen.add(signature)
+                    queries.append(query)
         return queries
+
+    def admissible_subsets(self, max_atoms: int) -> Iterator[Tuple[int, ...]]:
+        """Sorted index tuples of the admissible fact subsets.
+
+        A subset is admissible when it covers every answer constant and
+        each of its facts is reachable from an answer constant through
+        constants (labelled nulls included) shared within the subset.
+        Such subsets are grown from the facts mentioning an answer
+        constant, one adjacent fact at a time: every admissible subset
+        of size ``k + 1`` drops a fact and stays connected, so growing
+        every connected subset of size ``k`` reaches it.  A size class
+        is yielded sorted, which is ``itertools.combinations`` order.
+        """
+        answers = self._answer_constants()
+        answer_bits = {constant: 1 << bit for bit, constant in enumerate(answers)}
+        full_cover = (1 << len(answers)) - 1
+        by_constant: Dict[Constant, List[int]] = {}
+        cover: List[int] = []
+        for index, fact in enumerate(self.facts):
+            bits = 0
+            for argument in set(fact.args):
+                by_constant.setdefault(argument, []).append(index)
+                bits |= answer_bits.get(argument, 0)
+            cover.append(bits)
+        roots = {index for index, bits in enumerate(cover) if bits}
+        level = {(index,) for index in roots}
+        for size in range(1, max_atoms + 1):
+            ordered = sorted(level)
+            for indexes in ordered:
+                bits = 0
+                for index in indexes:
+                    bits |= cover[index]
+                if bits == full_cover:
+                    yield indexes
+            if size == max_atoms:
+                return
+            level = set()
+            for indexes in ordered:
+                reach = set(roots)
+                for index in indexes:
+                    for argument in self.facts[index].args:
+                        reach.update(by_constant[argument])
+                reach.difference_update(indexes)
+                for index in reach:
+                    level.add(tuple(sorted(indexes + (index,))))
 
     def most_specific_query(self) -> Optional[ConjunctiveQuery]:
         """The full border query with every non-answer constant kept."""
@@ -330,32 +426,7 @@ class _BorderAbstraction:
         body = tuple(self._abstract_atom(fact, kept) for fact in usable)
         return self._safe_query(body)
 
-    # -- admissibility ------------------------------------------------------------------
-
-    def _is_admissible(self, subset: Sequence[Atom]) -> bool:
-        """Subsets must cover every answer constant and be connected to them."""
-        answers = self._answer_constants()
-        covered = set()
-        for fact in subset:
-            covered |= {argument for argument in fact.args if argument in answers}
-        if covered != answers:
-            return False
-        # Every atom must be reachable from an answer constant through
-        # shared constants within the subset (otherwise the abstracted
-        # query has a conjunct disconnected from the answer variables).
-        remaining = list(subset)
-        frontier_constants: Set[Constant] = set(answers)
-        changed = True
-        connected: Set[Atom] = set()
-        while changed:
-            changed = False
-            for fact in list(remaining):
-                if any(argument in frontier_constants for argument in fact.args):
-                    connected.add(fact)
-                    remaining.remove(fact)
-                    frontier_constants |= set(fact.args)
-                    changed = True
-        return not remaining
+    # -- abstraction variants ----------------------------------------------------------
 
     def _constant_subsets(
         self, subset: Sequence[Atom], max_kept_constants: int
@@ -390,9 +461,13 @@ class _BorderAbstraction:
             if emit(kept):
                 yield kept
 
-    def _safe_query(self, body: Tuple[Atom, ...]) -> Optional[ConjunctiveQuery]:
+    def _safe_query(
+        self, body: Tuple[Atom, ...], signature: Optional[Tuple] = None
+    ) -> Optional[ConjunctiveQuery]:
         """Build a CQ, returning ``None`` when the head would be unsafe."""
         try:
+            if signature is not None:
+                return ConjunctiveQuery.with_signature(self.answer_variables, body, signature)
             return ConjunctiveQuery(self.answer_variables, body)
         except (QueryArityError, UnsafeQueryError):
             return None

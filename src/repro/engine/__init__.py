@@ -125,7 +125,7 @@ components:
     :meth:`~repro.engine.cache.EvaluationCache.invalidate_borders`
     drops exactly the memo entries built over those borders (border
     ABoxes, their saturations, J-match verdicts, verdict layouts,
-    tabled subquery states — counted in
+    tabled subquery states, tabled candidate pools — counted in
     ``CacheStats.delta_invalidations``);
     :meth:`~repro.engine.kernel.UnifiedBorderIndex.apply_patch`
     appends/tombstones fact columns and fixes provenance bitsets in

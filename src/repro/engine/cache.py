@@ -21,7 +21,10 @@ specification:
 * **kernel subquery tables** — partial-match provenance bitsets of
   canonical atom prefixes, keyed by unified-border-index identity ×
   prefix signature (see :mod:`repro.engine.kernel`), so candidates that
-  share a join prefix pay for it once.
+  share a join prefix pay for it once;
+* **candidate pools** — one positive tuple's generated candidates, keyed
+  by the tuple, its border's atoms and the generator configuration
+  (see :meth:`repro.core.candidates.CandidateGenerator.candidates_for`).
 
 All keys are content-addressed (frozen values, not object identities),
 which is what makes the cache safely shareable between evaluators,
@@ -297,6 +300,8 @@ class CacheStats:
         "pushdown_hits",
         "pushdown_misses",
         "pushdown_fallbacks",
+        "candidate_pool_hits",
+        "candidate_pool_misses",
     )
 
     def __init__(self):
@@ -370,6 +375,8 @@ class CacheLimits:
 
     saturations: Optional[int] = None
     border_aboxes: Optional[int] = None
+    """Cap on retrieved border ABoxes; the tabled candidate pools (one per
+    seed border and generator configuration) share it."""
     verdict_layouts: Optional[int] = None
     matches: Optional[int] = None
     subqueries: Optional[int] = None
@@ -577,6 +584,7 @@ class EvaluationCache:
         self._verdict_rows = LRUStore(self.limits.verdict_layouts, self.stats)
         self._subqueries = LRUStore(self.limits.subqueries, self.stats)
         self._pushdowns = LRUStore(self.limits.pushdowns, self.stats)
+        self._candidate_pools = LRUStore(self.limits.border_aboxes, self.stats)
 
     # -- pickling ---------------------------------------------------------
 
@@ -606,6 +614,7 @@ class EvaluationCache:
         self._verdict_rows.set_capacity(limits.verdict_layouts)
         self._subqueries.set_capacity(limits.subqueries)
         self._pushdowns.set_capacity(limits.pushdowns)
+        self._candidate_pools.set_capacity(limits.border_aboxes)
 
     def size_report(self) -> Dict[str, int]:
         """Entry counts per layer (verdict rows also summed across layouts)."""
@@ -619,6 +628,7 @@ class EvaluationCache:
             "subquery_indexes": len(self._subqueries),
             "subquery_states": sum(len(table) for _, table in self._subqueries.items()),
             "pushdown_results": len(self._pushdowns),
+            "candidate_pools": len(self._candidate_pools),
         }
 
     # -- persistence ------------------------------------------------------
@@ -947,6 +957,33 @@ class EvaluationCache:
         self._pushdowns.put(key, (value,))
         return value
 
+    # -- candidate pools ---------------------------------------------------
+
+    def candidate_pool(self, key: Hashable, compute: Callable[[], Tuple]) -> Tuple:
+        """One seed's tabled candidate pool (an immutable tuple of CQs).
+
+        *key* holds the seed tuple, its border's atom set and the
+        generator configuration the pool depends on; the specification
+        is fixed per cache, so the key is the pool's whole content
+        address and a database write that changes the border simply
+        addresses a new entry.  A derived layer like subquery tables:
+        bounded by ``CacheLimits.border_aboxes`` (one pool per border and
+        configuration), never persisted by :meth:`save`, and not tabled
+        at all when the cache is disabled.  Traffic is counted in
+        ``stats.candidate_pool_hits`` / ``stats.candidate_pool_misses``.
+        """
+        if not self.enabled:
+            self.stats.count("candidate_pool_misses")
+            return compute()
+        pool = self._candidate_pools.get(key)
+        if pool is None:
+            self.stats.count("candidate_pool_misses")
+            pool = compute()
+            self._candidate_pools.put(key, pool)
+        else:
+            self.stats.count("candidate_pool_hits")
+        return pool
+
     # -- maintenance ------------------------------------------------------
 
     def invalidate_borders(self, touched, constants=frozenset()) -> Dict[str, int]:
@@ -967,7 +1004,10 @@ class EvaluationCache:
         * **verdict-row layouts** whose column borders intersect the
           touched set;
         * **tabled subquery states** of any unified border index built
-          over a touched border.
+          over a touched border;
+        * **candidate pools** keyed by a touched border's atom set (never
+          stale, since the post-delta border has a different key; a later
+          write that restores the old content recomputes the pool).
 
         *touched* is the border set returned by
         :meth:`~repro.core.border.BorderComputer.apply_delta`;
@@ -1035,6 +1075,10 @@ class EvaluationCache:
                     or (constants and mentions_delta(key[2]))
                 )
             ),
+            "candidate_pools": self._candidate_pools.discard_where(
+                # (seed tuple, border atoms, generator configuration...)
+                lambda key, _v: key[1] in touched_atom_sets
+            ),
         }
         total = sum(dropped.values())
         if total:
@@ -1052,6 +1096,7 @@ class EvaluationCache:
             self._verdict_rows.clear()
             self._subqueries.clear()
             self._pushdowns.clear()
+            self._candidate_pools.clear()
 
     def __str__(self):
         return (

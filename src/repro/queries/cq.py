@@ -140,23 +140,14 @@ class ConjunctiveQuery:
     def canonical_form(self) -> "ConjunctiveQuery":
         """Return a structurally canonical variant of the query.
 
-        Variables are renamed to ``x0, x1, ...`` following the order of
-        first appearance in the (sorted) head and body, and the body atoms
-        are sorted.  Two CQs that are equal up to variable renaming and
-        atom ordering have identical canonical forms, which gives a cheap
-        syntactic equivalence check (semantic equivalence is handled by
+        The variant's head and body are :func:`canonical_signature`, so
+        two CQs that are equal up to variable renaming and atom ordering
+        have identical canonical forms, which gives a cheap syntactic
+        equivalence check (semantic equivalence is handled by
         :mod:`repro.queries.containment`).
         """
-        ordered_terms = list(self.head)
-        for atom in sorted(self.body):
-            ordered_terms.extend(atom.args)
-        mapping: Substitution = {}
-        for term in ordered_terms:
-            if is_variable(term) and term not in mapping:
-                mapping[term] = Variable(f"x{len(mapping)}")
-        renamed_head = tuple(mapping[v] for v in self.head)
-        renamed_body = tuple(sorted(apply_substitution(self.body, mapping)))
-        return ConjunctiveQuery(renamed_head, renamed_body, self.name)
+        head, body = canonical_signature(self.head, self.body)
+        return ConjunctiveQuery(head, body, self.name)
 
     def signature(self) -> Tuple:
         """Hashable canonical signature (ignores the query name).
@@ -168,15 +159,50 @@ class ConjunctiveQuery:
         """
         cached = self.__dict__.get("_signature")
         if cached is None:
-            canonical = self.canonical_form()
-            cached = (canonical.head, canonical.body)
+            cached = canonical_signature(self.head, self.body)
             object.__setattr__(self, "_signature", cached)
         return cached
+
+    @classmethod
+    def with_signature(
+        cls, head: Sequence, body: Iterable[Atom], signature: Tuple
+    ) -> "ConjunctiveQuery":
+        """Build a CQ whose :func:`canonical_signature` is already known.
+
+        Generators that deduplicate on the signature compute it before
+        deciding to build a query at all; this seeds the memo so
+        :meth:`signature` never recomputes it.
+        """
+        query = cls(tuple(head), tuple(body))
+        object.__setattr__(query, "_signature", signature)
+        return query
 
     def __str__(self):
         head = ", ".join(f"?{v.name}" for v in self.head)
         body = ", ".join(str(atom) for atom in self.body)
         return f"{self.name}({head}) :- {body}"
+
+
+def canonical_signature(
+    head: Sequence[Variable], body: Sequence[Atom]
+) -> Tuple[Tuple[Variable, ...], Tuple[Atom, ...]]:
+    """The canonical ``(head, body)`` of a CQ, up to renaming and atom order.
+
+    Variables are renamed to ``x0, x1, ...`` following the order of first
+    appearance in the head and then in the sorted body, and the renamed
+    body atoms are sorted.  Safety is not checked, so callers can compute
+    the signature of a body before deciding to build a query from it.
+    """
+    ordered_terms = list(head)
+    for atom in sorted(body, key=Atom.sort_key):
+        ordered_terms.extend(atom.args)
+    mapping: Substitution = {}
+    for term in ordered_terms:
+        if is_variable(term) and term not in mapping:
+            mapping[term] = Variable(f"x{len(mapping)}")
+    renamed_head = tuple(mapping[v] for v in head)
+    renamed_body = tuple(sorted(apply_substitution(body, mapping), key=Atom.sort_key))
+    return renamed_head, renamed_body
 
 
 def freeze(query: ConjunctiveQuery, prefix: str = "_c_") -> Tuple[Tuple[Atom, ...], Tuple[Constant, ...]]:

@@ -348,7 +348,7 @@ class ExplanationService:
            delta can touch and reports them;
         3. the shared cache drops the entries built over those borders
            (border ABoxes, their saturations, J-match verdicts, verdict
-           layouts and tabled subquery states);
+           layouts, tabled subquery states and tabled candidate pools);
         4. every live session's matrix re-evaluates only the columns
            whose border content actually changed
            (:meth:`~repro.engine.verdicts.VerdictMatrix.apply_database_delta`)
