@@ -1,6 +1,6 @@
 """E13 — bit-sliced multi-labeling batching vs per-labeling kernel passes.
 
-PR 5's pool-level kernel already answers one labeling's whole verdict
+The pool-level kernel already answers one labeling's whole verdict
 matrix in a single set-at-a-time pass.  A monitoring fleet asks the
 same question for *many* overlapping labelings (one per classifier
 snapshot, cohort, or drift step) — and the per-labeling loop re-matches
@@ -14,9 +14,9 @@ This bench drives the E13 experiment
 shared workload definition, the pool comes from the ``bench_pool``
 fixture's builder) at gate-worthy sizes and asserts:
 
-* one ``build_batch`` dispatch yields rows byte-identical to the
-  per-labeling PR-5 loop, at least 3× faster (measured ~3.7–4.4×;
-  retrieval warmed on both sides);
+* one ``build_batch`` dispatch yields rows byte-identical to a loop of
+  one direct ``PoolMatchKernel(evaluator, columns).rows(pool)`` per
+  labeling, at least 3× faster (retrieval warmed on both sides);
 * ``explain_batch`` reports stay byte-identical to per-labeling legacy
   reports across all four domain ontologies × {thread, process};
 * generator-level provenance pruning discards a non-zero number of
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.engine.batch_kernel import batch_available
 from repro.experiments.batch_kernel_exp import run_batch_labelings
 
 MIN_SPEEDUP = 3.0
@@ -63,8 +62,6 @@ PROFILES = {
 
 
 def test_bench_batch_labelings(bench_profile, bench_pool, bench_trajectory):
-    if not batch_available():
-        pytest.skip("numpy bit-slicing unavailable; the batch gate needs it")
     config = PROFILES[bench_profile]
     workload = bench_pool(
         applicants=config.applicants,

@@ -10,8 +10,7 @@ workload definition, no duplicated harness) and asserts:
 
 * rankings are byte-identical across the memory backend, the SQLite
   backend with pushdown, and the SQLite backend with pushdown disabled
-  (legacy per-assertion fallback), and with the unified index's
-  ``engine.kernel.spill.enabled`` toggle on vs off;
+  (legacy per-assertion fallback);
 * the streaming populate path reproduces the batch generator's fact
   set exactly (fingerprint parity across all stores);
 * at a workload ``scale >= 10``× the base size, the SQLite phase's
@@ -68,8 +67,7 @@ def test_bench_out_of_core(bench_profile, bench_trajectory):
         labeled_per_side=config.labeled_per_side,
     )
     pushdown_row = result.rows[0]
-    spill_row = result.rows[1]
-    scaled_row = result.rows[2]
+    scaled_row = result.rows[1]
 
     assert pushdown_row["identical_rankings"] is True, (
         "rankings diverged across memory / sqlite / sqlite-without-pushdown"
@@ -79,12 +77,6 @@ def test_bench_out_of_core(bench_profile, bench_trajectory):
     )
     assert pushdown_row["populate_parity"] is True, (
         "streaming populate produced a different fact set than the batch generator"
-    )
-    assert spill_row["identical_rankings"] is True, (
-        "spill-mode unified index rankings diverged from the in-memory columns"
-    )
-    assert spill_row["matches_memory_backend"] is True, (
-        "spill-off serving diverged from the pushdown-identity baseline"
     )
     assert scaled_row["identical_rankings"] is True, (
         "scaled sqlite serving diverged from the scaled memory backend"

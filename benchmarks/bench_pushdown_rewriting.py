@@ -1,12 +1,10 @@
-"""E17 — whole-rewriting SQL pushdown + memory-mapped batch bit matrices.
+"""E17 — whole-rewriting SQL pushdown.
 
 PR 10 claims the certain-answer phase itself — not just fact storage —
 can be pushed into SQLite: the entire rewritten UCQ compiles to one
 ``UNION`` of per-disjunct self-join SELECTs (the ABox restriction a
 pushed-down constant filter), so one sqlite3 execution replaces
-``O(|disjuncts| × |border facts|)`` Python evaluation.  And the batch
-kernel's global bit matrix can live in a ``numpy.memmap`` temp file
-under ``engine.kernel.spill`` without moving a verdict bit.  This bench
+``O(|disjuncts| × |border facts|)`` Python evaluation.  This bench
 drives the E17 experiment
 (:func:`repro.experiments.pushdown_exp.run_pushdown_rewriting` — one
 shared workload definition, no duplicated harness) and asserts:
@@ -22,12 +20,6 @@ shared workload definition, no duplicated harness) and asserts:
   ``engine.pushdown.enabled`` than the legacy in-memory evaluation
   (per-mode one-time ABox setup timed separately), with answer sets
   and membership verdicts identical item for item;
-* the memmap matrix path (``pack_rows`` → ``gather_packed_spilled`` →
-  ``masked_popcounts``) reproduces the in-RAM ints and δ-counts bit
-  for bit with a strictly lower Python/numpy heap peak
-  (:mod:`tracemalloc` — memmap pages are untracked, which is the
-  point), and the real batch-kernel dispatch is bit-identical with
-  spill on vs off;
 * the recorded trajectory entry carries the memory high-water mark
   (``peak_rss_bytes``) every bench record samples.
 
@@ -56,8 +48,6 @@ class PushdownBenchConfig:
     candidate_pool: int
     labeled_per_side: int
     repeats: int
-    matrix_rows: int
-    matrix_width: int
 
 
 PROFILES = {
@@ -67,8 +57,6 @@ PROFILES = {
         candidate_pool=16,
         labeled_per_side=8,
         repeats=3,
-        matrix_rows=1024,
-        matrix_width=384,
     ),
     "full": PushdownBenchConfig(
         base_applicants=24,
@@ -76,8 +64,6 @@ PROFILES = {
         candidate_pool=20,
         labeled_per_side=8,
         repeats=3,
-        matrix_rows=4096,
-        matrix_width=512,
     ),
 }
 
@@ -93,13 +79,9 @@ def test_bench_pushdown_rewriting(bench_profile, bench_trajectory):
         candidate_pool=config.candidate_pool,
         labeled_per_side=config.labeled_per_side,
         repeats=config.repeats,
-        matrix_rows=config.matrix_rows,
-        matrix_width=config.matrix_width,
     )
     identity_row = result.rows[0]
     speedup_row = result.rows[1]
-    matrix_row = result.rows[2]
-    batch_row = result.rows[3]
 
     assert identity_row["identical_rankings"] is True, (
         "served rankings diverged across memory / sqlite / sqlite-without-pushdown"
@@ -125,16 +107,6 @@ def test_bench_pushdown_rewriting(bench_profile, bench_trajectory):
         "pushdown membership verdicts diverged from legacy contains_tuple"
     )
 
-    assert matrix_row["identical_ints"] is True, (
-        "spilled gather produced different packed rows than the in-RAM path"
-    )
-    assert matrix_row["identical_counts"] is True, (
-        "spilled masked popcounts diverged from the in-RAM path"
-    )
-    assert batch_row.get("identical_rows") is True, (
-        "batch-kernel dispatch rows diverged between spill off and on"
-    )
-
     path = bench_trajectory(
         "pushdown_rewriting",
         scale=speedup_row["scale"],
@@ -142,8 +114,6 @@ def test_bench_pushdown_rewriting(bench_profile, bench_trajectory):
         legacy_seconds=speedup_row["legacy_seconds"],
         pushdown_seconds=speedup_row["pushdown_seconds"],
         speedup=speedup_row["speedup"],
-        matrix_ram_peak_bytes=matrix_row["ram_peak_bytes"],
-        matrix_spill_peak_bytes=matrix_row["spill_peak_bytes"],
     )
     recorded = json.loads(path.read_text())[-1]
     assert "peak_rss_bytes" in recorded, (
@@ -152,18 +122,10 @@ def test_bench_pushdown_rewriting(bench_profile, bench_trajectory):
     print()
     print(f"pushdown-rewriting bench [{bench_profile}]")
     print(result.render())
-    print(
-        f"  gates: certain-answer speedup >= {MIN_SPEEDUP}x at >= {MIN_SCALE}x scale; "
-        "spilled matrix heap peak < in-RAM peak"
-    )
+    print(f"  gate: certain-answer speedup >= {MIN_SPEEDUP}x at >= {MIN_SCALE}x scale")
     assert speedup_row["speedup"] >= MIN_SPEEDUP, (
         f"pushdown only {speedup_row['speedup']}x faster "
         f"({speedup_row['legacy_seconds']}s legacy vs "
         f"{speedup_row['pushdown_seconds']}s pushed down; "
         f"gate is >= {MIN_SPEEDUP}x)"
-    )
-    assert matrix_row["spill_peak_bytes"] < matrix_row["ram_peak_bytes"], (
-        f"memmap path peaked at {matrix_row['spill_peak_bytes']} bytes on the "
-        f"Python heap, not below the in-RAM path's "
-        f"{matrix_row['ram_peak_bytes']} — the matrix is not off-heap"
     )

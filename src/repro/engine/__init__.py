@@ -71,10 +71,9 @@ components:
     row).  **Toggle:** ``specification.engine.kernel.enabled``
     (:class:`~repro.engine.cache.KernelPolicy`), same style as
     ``engine.verdicts.enabled``; disabling it restores per-pair row
-    construction.  ``VerdictMatrix.build``/``_compute_row``,
-    ``apply_drift`` (fresh columns), both ``BatchExplainer`` executors
-    and the explanation service's warm sessions all route through it
-    when enabled; the differential suite
+    construction, the reference oracle.  With the kernel on, every row
+    is built by the batch kernel below, which runs one
+    ``PoolMatchKernel`` over its merged layout; the differential suite
     (``tests/engine/test_match_kernel.py``) pins kernel rows
     byte-identical to the per-pair path across all four domains ×
     {CQ, UCQ} × {cache on, off} × {thread, process}, and
@@ -101,15 +100,16 @@ components:
     pruning** (:meth:`~repro.engine.kernel.ProvenancePruner`): candidate
     conjunctions whose AND-of-supports bound is empty are discarded by
     ``repro.core.candidates`` / ``repro.core.refinement`` before a query
-    object is even materialised.  **Toggle:**
-    ``specification.engine.kernel.batch.enabled``
-    (:class:`~repro.engine.cache.BatchKernelPolicy`); numpy is imported
-    *only* in :mod:`repro.engine.batch_kernel` and the flag is inert
-    without it (``HAS_NUMPY``), falling back to the per-labeling kernel
-    transparently.  The differential suite
+    object is even materialised.  It is the only kernel row builder:
+    ``VerdictMatrix.build``/``_compute_row``/``upper_bound_row``,
+    ``build_batch``, the pruner, and the changed columns of
+    ``apply_drift``/``apply_database_delta`` all dispatch through it
+    whenever ``engine.kernel.enabled`` is on.  numpy (≥2.0, for
+    ``bitwise_count``) is a declared dependency; within the engine only
+    :mod:`repro.engine.batch_kernel` imports it.  The differential suite
     (``tests/engine/test_batch_kernel.py``) pins batch rows and reports
-    byte-identical to the per-labeling and legacy paths across all four
-    domains × {thread, process}, and
+    byte-identical to per-labeling ``PoolMatchKernel`` rows and to the
+    per-pair path across all four domains × {thread, process}, and
     ``benchmarks/bench_batch_labelings.py`` gates a ≥3× batch-dispatch
     speedup.
 
@@ -126,14 +126,11 @@ components:
     drops exactly the memo entries built over those borders (border
     ABoxes, their saturations, J-match verdicts, verdict layouts,
     tabled subquery states, tabled candidate pools — counted in
-    ``CacheStats.delta_invalidations``);
-    :meth:`~repro.engine.kernel.UnifiedBorderIndex.apply_patch`
-    appends/tombstones fact columns and fixes provenance bitsets in
-    place instead of rebuilding the merged index; and
+    ``CacheStats.delta_invalidations``); and
     :meth:`~repro.engine.verdicts.VerdictMatrix.apply_database_delta`
     migrates surviving verdict bits by masking and re-evaluates only
     the columns whose border content actually changed (one bit-sliced
-    batch dispatch when the batch kernel is enabled).
+    batch dispatch over those columns when the kernel is enabled).
     :meth:`~repro.service.ExplanationService.apply_delta` drives the
     whole pipeline for every live session, and service snapshots are
     stamped with the database fingerprint so a post-drift ``load()``
@@ -147,8 +144,7 @@ components:
     ``benchmarks/bench_database_drift.py`` gates a ≥3× update-vs-cold
     speedup on a streaming-updates workload.
 
-**Out-of-core storage** (:class:`~repro.engine.cache.SpillPolicy` and
-:mod:`repro.obdm.backend`)
+**Out-of-core storage** (:mod:`repro.obdm.backend`)
     The layer *under* all of the above: where facts live.  The source
     database delegates storage to a pluggable
     :class:`~repro.obdm.backend.StorageBackend` — the default
@@ -165,15 +161,8 @@ components:
     one batched ``IN`` lookup per BFS frontier) so the Python heap never
     materialises the fact set.  Fingerprints, deltas, snapshot stamping
     and every engine layer behave identically over either backend
-    (suite ``tests/obdm/test_backends.py``, marker ``backend``).  On
-    the engine side, ``engine.kernel.spill.enabled``
-    (:class:`~repro.engine.cache.SpillPolicy`, default off) moves the
-    :class:`~repro.engine.kernel.UnifiedBorderIndex`'s columnar
-    argument/provenance arrays into memory-mapped temp files
-    (:class:`~repro.engine.kernel.SpillArgsRows` /
-    :class:`~repro.engine.kernel.SpillMaskRows`) — same layout and row
-    ids, byte-identical rankings
-    (``tests/engine/test_spill_index.py``).  Experiment ``E16`` and
+    (suite ``tests/obdm/test_backends.py``, marker ``backend``).
+    Experiment ``E16`` and
     ``benchmarks/bench_out_of_core.py`` gate a ≥10× workload served on
     the SQLite backend with a Python-heap allocation peak strictly
     below the in-memory baseline and identical rankings.
@@ -202,13 +191,7 @@ components:
     the memory backend, which just counts fallbacks).  Any query the
     compiler rejects raises
     :class:`~repro.obdm.backend.PushdownUnsupported` and falls back to
-    the legacy in-memory evaluation per query.  The companion
-    beyond-RAM thrust lives in the batch kernel:
-    ``engine.kernel.spill.enabled`` also moves the 2-D uint64 batch
-    bit matrix into ``numpy.memmap`` temp files, processed in row
-    slabs with bit-identical δ1–δ4 popcounts
-    (:func:`~repro.engine.batch_kernel.pack_bit_matrix` with
-    ``spill=True``).  Differential suite
+    the legacy in-memory evaluation per query.  Differential suite
     ``tests/obdm/test_pushdown_rewriting.py``; experiment ``E17`` and
     ``benchmarks/bench_pushdown_rewriting.py`` gate ≥3× on the
     certain-answer phase at a ≥10× loan workload with byte-identical
@@ -253,17 +236,11 @@ batch path against the seed's per-call path (toggle via
 gates a ≥3× criteria-phase speedup of the verdict-matrix path over the
 legacy per-pair path (toggle via ``VerdictPolicy.enabled``); both
 assert byte-identical rankings.
-
-Next scaling steps this substrate unlocks (see ROADMAP.md): a network
-transport over the asyncio gateway (HTTP/MCP tool surface, replica
-topologies) and scenario diversity via an ontology importer plus
-parameterised synthetic workload scaling.
 """
 
 from __future__ import annotations
 
 from .cache import (
-    BatchKernelPolicy,
     CacheLimits,
     CacheStats,
     DeltaPolicy,
@@ -271,14 +248,12 @@ from .cache import (
     KernelPolicy,
     LRUStore,
     PushdownPolicy,
-    SpillPolicy,
     VerdictPolicy,
 )
-from .kernel import PoolMatchKernel, SpillArgsRows, SpillMaskRows, UnifiedBorderIndex
+from .kernel import PoolMatchKernel, UnifiedBorderIndex
 
 __all__ = [
     "BatchExplainer",
-    "BatchKernelPolicy",
     "BitsetVerdictProfile",
     "BorderColumns",
     "CacheLimits",
@@ -290,9 +265,6 @@ __all__ = [
     "MultiLabelingBatchKernel",
     "PoolMatchKernel",
     "PushdownPolicy",
-    "SpillArgsRows",
-    "SpillMaskRows",
-    "SpillPolicy",
     "UnifiedBorderIndex",
     "VerdictMatrix",
     "VerdictPolicy",
@@ -303,8 +275,8 @@ _LAZY_MODULES = {
     # repro.engine.verdicts pulls in repro.core, which itself imports
     # repro.obdm.certain_answers → repro.engine.cache; loading them
     # eagerly here would close that loop during package initialisation.
-    # (repro.engine.kernel only imports repro.queries and the
-    # engine-free repro.obdm.backend codec, so it loads eagerly above.)
+    # (repro.engine.kernel only imports repro.queries, so it loads
+    # eagerly above.)
     "BatchExplainer": "batch",
     "BitsetVerdictProfile": "verdicts",
     "BorderColumns": "verdicts",

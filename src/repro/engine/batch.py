@@ -194,7 +194,7 @@ class BatchExplainer:
         build.  All searches share one system, so the whole batch goes
         through :meth:`VerdictMatrix.build_batch` — one bit-sliced
         kernel dispatch over the union of the labelings' borders when
-        ``engine.kernel.batch`` is on, per-labeling builds otherwise.
+        ``engine.kernel`` is on, per-labeling builds otherwise.
         A no-op per scorer on the legacy (non-matrix) path.
         """
         matrices = []

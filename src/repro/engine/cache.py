@@ -114,92 +114,31 @@ class KernelPolicy:
     """Switch for the pool-level match kernel (:mod:`repro.engine.kernel`).
 
     When ``enabled`` (the default), :class:`~repro.engine.verdicts.VerdictMatrix`
-    computes verdict rows through the
-    :class:`~repro.engine.kernel.PoolMatchKernel`: all border ABoxes of a
-    labeling are merged into one provenance-indexed fact store and a
-    whole row (every border column of one candidate) falls out of a
-    single homomorphism enumeration, with partial-match bitsets tabled
-    in the shared cache and reused across the candidate lattice.
-    Disabling it restores the per-pair row construction (one
-    ``matches_border`` question per (candidate, border) cell), which the
-    differential suite (``tests/engine/test_match_kernel.py``) and
-    ``benchmarks/bench_match_kernel.py`` use as the reference.  Every
+    computes every verdict row through the bit-sliced
+    :class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel` (a
+    single layout is a batch of one): all border ABoxes of the batch
+    are merged into one provenance-indexed fact store
+    (:class:`~repro.engine.kernel.UnifiedBorderIndex`), a whole row
+    (every border column of one candidate) falls out of a single
+    homomorphism enumeration by the
+    :class:`~repro.engine.kernel.PoolMatchKernel`, partial-match bitsets
+    are tabled in the shared cache and reused across the candidate
+    lattice, and the δ1–δ4 counts of a pool come from vectorized
+    popcounts.  Disabling it restores the per-pair row construction (one
+    ``matches_border`` question per (candidate, border) cell), the
+    reference oracle of the differential suite
+    (``tests/engine/test_match_kernel.py``) and of
+    ``benchmarks/bench_match_kernel.py``.  Every
     :class:`~repro.obdm.certain_answers.CertainAnswerEngine` owns one
     (``specification.engine.kernel``), in the same style as
     ``engine.verdicts``.
-
-    ``kernel.batch`` nests the bit-sliced multi-labeling batch kernel's
-    own switch (:class:`BatchKernelPolicy`), so the three layers toggle
-    independently: ``kernel.enabled=False`` forces per-pair rows
-    regardless of the batch flag, and ``kernel.batch.enabled=False``
-    keeps the PR-5 per-labeling kernel as the row builder.
-    ``kernel.spill`` nests the out-of-core spill switch
-    (:class:`SpillPolicy`) for the unified index's columnar arrays.
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self.batch = BatchKernelPolicy()
-        self.spill = SpillPolicy()
-
-    def __str__(self):
-        return (
-            f"KernelPolicy(enabled={self.enabled}, batch={self.batch}, "
-            f"spill={self.spill})"
-        )
-
-
-class BatchKernelPolicy:
-    """Switch for the bit-sliced multi-labeling batch kernel.
-
-    When ``enabled`` (the default) *and* numpy is importable,
-    :meth:`~repro.engine.verdicts.VerdictMatrix.build` /
-    :meth:`~repro.engine.verdicts.VerdictMatrix.build_batch` route row
-    construction through
-    :class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel`: one
-    :class:`~repro.engine.kernel.UnifiedBorderIndex` over the union of
-    all layouts' borders serves every column layout at once, rows are
-    packed into a 2-D ``uint64`` word matrix, and the δ1–δ4 confusion
-    counts of a whole pool × labeling batch become vectorized popcount
-    passes (``numpy.bitwise_count``) instead of per-row Python
-    popcounts.  Disabling it restores the per-labeling PR-5 kernel
-    dispatch, which ``tests/engine/test_batch_kernel.py`` and
-    ``benchmarks/bench_batch_labelings.py`` use as the reference.  The
-    numpy dependency stays behind this switch: without numpy the flag is
-    inert and every path falls back transparently (see
-    :data:`repro.engine.batch_kernel.HAS_NUMPY`).
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
 
     def __str__(self):
-        return f"BatchKernelPolicy(enabled={self.enabled})"
-
-
-class SpillPolicy:
-    """Switch for the unified index's spill-to-disk columnar storage.
-
-    When ``enabled``, every :class:`~repro.engine.kernel.UnifiedBorderIndex`
-    built by the match kernel stores its per-predicate argument rows and
-    provenance bitsets in memory-mapped temporary files
-    (:class:`~repro.engine.kernel.SpillArgsRows` /
-    :class:`~repro.engine.kernel.SpillMaskRows`) instead of Python
-    lists — same layout, same row ids, same narrowing index, so joins
-    and supports are byte-identical while the fact payload no longer
-    scales the Python heap.  Off by default: the in-memory lists are
-    faster and right whenever the merged borders fit comfortably in
-    RAM.  Toggled as ``specification.engine.kernel.spill.enabled``, in
-    the same style as every other engine switch;
-    ``tests/engine/test_spill_index.py`` pins the on/off differential
-    and ``benchmarks/bench_out_of_core.py`` exercises it at scale.
-    """
-
-    def __init__(self, enabled: bool = False):
-        self.enabled = enabled
-
-    def __str__(self):
-        return f"SpillPolicy(enabled={self.enabled})"
+        return f"KernelPolicy(enabled={self.enabled})"
 
 
 class DeltaPolicy:
@@ -213,11 +152,10 @@ class DeltaPolicy:
     evicts only the content-addressed entries whose provenance
     intersects those touched borders (saturations, border ABoxes,
     J-match verdicts, verdict-row layouts and tabled subquery states —
-    everything else stays warm), the
-    :class:`~repro.engine.kernel.UnifiedBorderIndex` is patched in
-    place (:meth:`~repro.engine.kernel.UnifiedBorderIndex.apply_patch`)
-    and live :class:`~repro.engine.verdicts.VerdictMatrix` sessions
-    migrate surviving columns and re-evaluate only the changed ones
+    everything else stays warm), and live
+    :class:`~repro.engine.verdicts.VerdictMatrix` sessions migrate
+    surviving columns and re-evaluate only the changed ones (one
+    batch-kernel dispatch over those columns when the kernel is on)
     (:meth:`~repro.engine.verdicts.VerdictMatrix.apply_database_delta`).
     Disabling it restores the legacy behaviour — the full cache is
     dropped and every session cold-rebuilds on its next request — which
@@ -1057,7 +995,7 @@ class EvaluationCache:
                 lambda key, _v: layout_touched(key)
             ),
             "subqueries": self._subqueries.discard_where(
-                # ("kernel_tables", columns_key, bits, strategy, depth)
+                # ("kernel_tables", columns_key, strategy, depth)
                 lambda key, _v: isinstance(key, tuple)
                 and len(key) >= 2
                 and layout_touched(key[1])

@@ -26,7 +26,10 @@ verdict against it is recorded.  Individual verdicts still flow through
 unchanged and the bitset path is *verdict-for-verdict identical* to the
 legacy path — the differential suite in
 ``tests/engine/test_verdict_matrix.py`` pins that across all four
-domain ontologies.
+domain ontologies.  That border loop is the reference oracle behind
+``engine.kernel.enabled = False``; with the kernel on (the default)
+every row comes from the bit-sliced batch kernel
+(:mod:`repro.engine.batch_kernel`), a single layout being a batch of one.
 
 UCQ rows are the bitwise OR of their disjuncts' rows.  That is sound
 for both answering strategies: the chase path evaluates a UCQ
@@ -306,7 +309,6 @@ class VerdictMatrix:
         self.evaluator = evaluator
         self.columns = columns
         self._cache = evaluator.system.specification.engine.cache
-        self._kernel = None
         self._batch = None
         # Confusion counts precomputed by the batch kernel's vectorized
         # popcount pass, keyed like the rows.  Private to this matrix
@@ -358,31 +360,6 @@ class VerdictMatrix:
     def kernel_enabled(self) -> bool:
         return self.evaluator.system.specification.engine.kernel.enabled
 
-    @property
-    def batch_enabled(self) -> bool:
-        """Whether rows route through the bit-sliced batch kernel.
-
-        Requires the PR-5 kernel (the batch path is built on top of it),
-        the ``engine.kernel.batch`` policy switch, and numpy — without
-        any of the three the matrix transparently falls back to the
-        per-labeling kernel (or the legacy border loop).
-        """
-        if not self.kernel_enabled:
-            return False
-        if not self.evaluator.system.specification.engine.kernel.batch.enabled:
-            return False
-        from .batch_kernel import HAS_NUMPY
-
-        return HAS_NUMPY
-
-    def _kernel_for(self):
-        """The pool-level match kernel of this layout (built lazily)."""
-        if self._kernel is None:
-            from .kernel import PoolMatchKernel
-
-            self._kernel = PoolMatchKernel(self.evaluator, self.columns)
-        return self._kernel
-
     def _batch_for(self):
         """A single-layout batch kernel over this matrix's columns.
 
@@ -399,7 +376,7 @@ class VerdictMatrix:
     def pruner(self):
         """A generator-level :class:`~repro.engine.kernel.ProvenancePruner`.
 
-        Wired to whichever kernel this matrix routes rows through, with
+        Wired to the batch kernel this matrix routes rows through, with
         the selection vector needed to express global provenance bounds
         in this layout's local bit space.  ``None`` off the kernel path.
         """
@@ -407,12 +384,10 @@ class VerdictMatrix:
             return None
         from .kernel import ProvenancePruner
 
-        if self.batch_enabled:
-            batch = self._batch_for()
-            return ProvenancePruner(
-                batch.kernel, self.columns, selection=batch.selection_for(0)
-            )
-        return ProvenancePruner(self._kernel_for(), self.columns)
+        batch = self._batch_for()
+        return ProvenancePruner(
+            batch.kernel, self.columns, selection=batch.selection_for(0)
+        )
 
     def row(self, query: OntologyQuery) -> int:
         """The verdict bitset of one query (computed at most once)."""
@@ -439,10 +414,8 @@ class VerdictMatrix:
                 union_row |= self.row(disjunct)
             return union_row
         self._cache.stats.count("verdict_row_misses")
-        if self.batch_enabled:
-            return self._batch_for().row_for(0, query)
         if self.kernel_enabled:
-            return self._kernel_for().row(query)
+            return self._batch_for().row_for(0, query)
         row = 0
         for bit, border in enumerate(self.columns.borders):
             if self.evaluator.matches_border(query, border):
@@ -459,9 +432,7 @@ class VerdictMatrix:
         row = self._rows.get(query_key(query))
         if row is not None:
             return row
-        if self.batch_enabled:
-            return self._batch_for().upper_bound_for(0, query)
-        return self._kernel_for().upper_bound_row(query)
+        return self._batch_for().upper_bound_for(0, query)
 
     def _pending_for(
         self, candidates: Iterable[OntologyQuery]
@@ -503,28 +474,25 @@ class VerdictMatrix:
         Borders run in the outer loop so each border's retrieved ABox
         (and chase saturation) is computed once and consulted for every
         pending candidate while hot; UCQs are reduced to their CQ
-        disjuncts first and OR-combined afterwards.  On the batch path
-        the pool goes through the bit-sliced kernel as one slab, which
-        also hands back vectorized δ-counts for every row.
+        disjuncts first and OR-combined afterwards.  On the kernel path
+        the pool goes through the bit-sliced batch kernel as one slab,
+        which also hands back vectorized δ-counts for every row.
         """
         pending_cqs, pending_keys, deferred_unions = self._pending_for(candidates)
 
         if pending_cqs:
-            if self.batch_enabled:
+            if self.kernel_enabled:
                 [layout_rows] = self._batch_for().rows_for([pending_cqs])
                 for key, row, counts in zip(
                     pending_keys, layout_rows.rows, layout_rows.counts
                 ):
                     self._store(key, row, counts)
             else:
-                if self.kernel_enabled:
-                    partial = self._kernel_for().rows(pending_cqs)
-                else:
-                    partial = [0] * len(pending_cqs)
-                    for bit, border in enumerate(self.columns.borders):
-                        for index, cq in enumerate(pending_cqs):
-                            if self.evaluator.matches_border(cq, border):
-                                partial[index] |= 1 << bit
+                partial = [0] * len(pending_cqs)
+                for bit, border in enumerate(self.columns.borders):
+                    for index, cq in enumerate(pending_cqs):
+                        if self.evaluator.matches_border(cq, border):
+                            partial[index] |= 1 << bit
                 for key, row in zip(pending_keys, partial):
                     self._store(key, row)
 
@@ -541,9 +509,9 @@ class VerdictMatrix:
         :class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel`, so
         borders shared between labelings are enumerated once for the
         whole batch.  Returns ``True`` when the batch path ran, ``False``
-        after falling back to per-matrix :meth:`build` calls (batch
-        policy off, numpy missing, or heterogeneous systems) — callers
-        get filled matrices either way.
+        after falling back to per-matrix :meth:`build` calls (kernel off
+        or heterogeneous systems) — callers get filled matrices either
+        way.
         """
         matrices = list(matrices)
         pools = [list(pool) for pool in pools]
@@ -554,7 +522,7 @@ class VerdictMatrix:
         if not matrices:
             return False
         first = matrices[0]
-        batchable = first.batch_enabled and all(
+        batchable = first.kernel_enabled and all(
             matrix.evaluator.system is first.evaluator.system for matrix in matrices
         )
         if not batchable or len(matrices) == 1:
@@ -593,7 +561,8 @@ class VerdictMatrix:
         of a tuple depends only on the tuple, the radius and the
         database, none of which drift here), a flipped tuple keeps its
         bit value at its new column position, and only genuinely *new*
-        tuples cost a J-match evaluation per known query.  The result is
+        tuples are evaluated, for all known queries at once
+        (:meth:`_changed_column_rows`).  The result is
         byte-identical to building a cold matrix over the drifted
         labeling — the differential suite pins this — because surviving
         bits are the memoized verdicts of exactly the (query, border)
@@ -642,56 +611,21 @@ class VerdictMatrix:
         )
         drifted = VerdictMatrix(self.evaluator, new_columns)
         old_position = {value: bit for bit, value in enumerate(old.tuples)}
-        fresh_columns = [
-            (bit, border)
-            for bit, (value, border) in enumerate(zip(new_columns.tuples, new_columns.borders))
+        fresh_bits = [
+            bit
+            for bit, value in enumerate(new_columns.tuples)
             if value not in old_position
         ]
-        fresh_kernel = None
-        if fresh_columns and drifted.kernel_enabled:
-            # Evaluate the genuinely new columns through a kernel
-            # restricted to their bit positions — the same one-pass path
-            # a cold rebuild of the drifted layout would take.
-            from .kernel import PoolMatchKernel
 
-            fresh_kernel = PoolMatchKernel(
-                self.evaluator, new_columns, bits=[bit for bit, _ in fresh_columns]
-            )
-
-        def matches_fresh(query: OntologyQuery, border: Border) -> bool:
-            # Evaluate UCQs disjunct-by-disjunct, the exact path (and
-            # memo entries) a cold build takes: its UCQ rows are ORs of
-            # CQ rows and never ask a (UCQ, border) question directly.
-            if isinstance(query, UnionOfConjunctiveQueries):
-                return any(
-                    self.evaluator.matches_border(disjunct, border)
-                    for disjunct in query.disjuncts
-                )
-            return self.evaluator.matches_border(query, border)
-
-        # Snapshot the dict: a concurrent scorer of this matrix may still
-        # be registering queries (row()/build() setdefault), and iterating
-        # the live dict would raise mid-drift.  A query missing from the
-        # snapshot just migrates nothing and is computed lazily later.
-        for key, query in list(self._known_queries.items()):
-            old_row = self._rows.get(key)
-            if old_row is None:
-                continue
-            drifted._known_queries[key] = query
-            if key in drifted._rows:
-                continue  # another scorer already filled the drifted layout
+        def migrate(old_row: int) -> int:
             row = 0
             for bit, value in enumerate(new_columns.tuples):
                 position = old_position.get(value)
                 if position is not None:
                     row |= ((old_row >> position) & 1) << bit
-            if fresh_kernel is not None:
-                row |= fresh_kernel.row(query)
-            else:
-                for bit, border in fresh_columns:
-                    if matches_fresh(query, border):
-                        row |= 1 << bit
-            drifted._rows[key] = row
+            return row
+
+        self._migrate_into(drifted, migrate, fresh_bits)
         return drifted
 
     def apply_database_delta(self) -> "VerdictMatrix":
@@ -710,13 +644,8 @@ class VerdictMatrix:
 
         Surviving columns migrate by bit masking (the permutation is the
         identity here — same tuples, same order); changed columns are
-        evaluated for every known query through a kernel restricted to
-        their bit positions — as one 2-D batch-matrix dispatch over the
-        changed columns when the batch path is on — or through the
-        legacy per-border loop, exactly as a cold rebuild would.  When
-        this matrix had built a unified index, the successor adopts it
-        via :meth:`~repro.engine.kernel.PoolMatchKernel.patched` instead
-        of re-merging the unchanged borders.  If no border changed the
+        evaluated for every known query by :meth:`_changed_column_rows`,
+        exactly as a cold rebuild would.  If no border changed the
         matrix itself is returned (every row is still exact).  With
         ``engine.delta.enabled`` off the result is a cold matrix over
         the recomputed layout: no rows migrate, reproducing the legacy
@@ -745,12 +674,21 @@ class VerdictMatrix:
             old.positive_tuples, old.negative_tuples, new_borders, old.radius
         )
         drifted = VerdictMatrix(self.evaluator, new_columns)
-        if self._kernel is not None and drifted.kernel_enabled:
-            # Reuse the already-merged unified index: only the changed
-            # bits' fact columns are swapped in place.
-            drifted._kernel = self._kernel.patched(new_columns, changed_bits)
         keep_mask = ~sum(1 << bit for bit in changed_bits)
-        # Snapshot for the same concurrency reason as apply_drift.
+        self._migrate_into(drifted, lambda old_row: old_row & keep_mask, changed_bits)
+        return drifted
+
+    def _migrate_into(self, drifted: "VerdictMatrix", migrate, changed_bits) -> None:
+        """Fill *drifted*'s rows for every query this matrix knows a row of.
+
+        *migrate* maps an old row to its surviving bits in *drifted*'s
+        layout; the *changed_bits* columns of all migrated queries are
+        then evaluated together by :meth:`_changed_column_rows`.
+        """
+        # Snapshot the dict: a concurrent scorer of this matrix may still
+        # be registering queries (row()/build() setdefault), and iterating
+        # the live dict would raise mid-drift.  A query missing from the
+        # snapshot just migrates nothing and is computed lazily later.
         pending: List[Tuple[Tuple, OntologyQuery, int]] = []
         for key, query in list(self._known_queries.items()):
             old_row = self._rows.get(key)
@@ -759,14 +697,12 @@ class VerdictMatrix:
             drifted._known_queries[key] = query
             if key in drifted._rows:
                 continue  # another scorer already filled the new layout
-            pending.append((key, query, old_row & keep_mask))
-        if pending:
-            fresh_rows = drifted._changed_column_rows(
-                [query for _, query, _ in pending], changed_bits
-            )
-            for (key, _query, migrated), fresh in zip(pending, fresh_rows):
-                drifted._rows[key] = migrated | fresh
-        return drifted
+            pending.append((key, query, migrate(old_row)))
+        fresh_rows = drifted._changed_column_rows(
+            [query for _, query, _ in pending], changed_bits
+        )
+        for (key, _query, migrated), fresh in zip(pending, fresh_rows):
+            drifted._rows[key] = migrated | fresh
 
     def _changed_column_rows(
         self, queries: Sequence[OntologyQuery], changed_bits: Sequence[int]
@@ -774,14 +710,15 @@ class VerdictMatrix:
         """Verdict bits of *queries* at the changed columns only.
 
         Routes through the same machinery as a cold build, restricted to
-        the changed bit positions: the 2-D batch matrix path (one
-        dispatch whose global index holds just the changed borders), the
-        bit-restricted pool kernel, or the legacy per-border loop.
-        Returned rows carry bits at the original column positions.
+        the changed bit positions: one batch-kernel dispatch whose
+        global index holds just the changed borders, or the per-border
+        loop with the kernel off.  UCQs are evaluated disjunct by
+        disjunct on both paths, as a cold build does.  Returned rows
+        carry bits at the original column positions.
         """
-        if not queries:
-            return []
-        if self.batch_enabled:
+        if not queries or not changed_bits:
+            return [0] * len(queries)
+        if self.kernel_enabled:
             from .batch_kernel import MultiLabelingBatchKernel
 
             patch_columns = BorderColumns(
@@ -799,18 +736,6 @@ class VerdictMatrix:
                     row |= ((local_row >> local) & 1) << bit
                 scattered.append(row)
             return scattered
-        if self.kernel_enabled:
-            from .kernel import PoolMatchKernel
-
-            restricted = PoolMatchKernel(
-                self.evaluator, self.columns, bits=changed_bits
-            )
-            try:
-                return [restricted.row(query) for query in queries]
-            finally:
-                # Throwaway kernel: in spill mode its restricted index
-                # holds mmap temp files; release them now, not at GC.
-                restricted.close()
         rows = [0] * len(queries)
         for bit in changed_bits:
             border = self.columns.borders[bit]

@@ -16,8 +16,9 @@ Three rows:
 
 * ``batch_dispatch`` — L overlapping loan labelings × one candidate
   pool: one :meth:`VerdictMatrix.build_batch` dispatch (union index,
-  sliced rows) vs the per-labeling PR-5 loop, retrieval warmed on both
-  sides, rows byte-identical.  ``benchmarks/bench_batch_labelings.py``
+  sliced rows) vs a loop of one direct
+  :class:`~repro.engine.kernel.PoolMatchKernel` per labeling, retrieval
+  warmed on both sides, rows byte-identical.  ``benchmarks/bench_batch_labelings.py``
   gates the speedup at ≥3×.
 * ``identity`` — :meth:`OntologyExplainer.explain_batch` (whose thread
   path now pre-builds all verdict matrices through one batch dispatch)
@@ -74,8 +75,6 @@ def run_batch_labelings(
     ``labelings`` layouts (the bench passes its fixture's result).
     Reported sizes are derived from the actual workload.
     """
-    from ..engine.batch_kernel import batch_available
-
     if workload is None:
         workload = build_loan_pool(
             applicants, candidate_pool, labeled_per_side, labelings=labelings, seed=seed
@@ -83,8 +82,9 @@ def run_batch_labelings(
     database, pool = workload.database, workload.pool
     layouts = workload.labelings
 
-    # -- batch dispatch: one union-index pass vs per-labeling PR-5 loop ----
+    # -- batch dispatch: one union-index pass vs per-labeling kernel loop --
     def build_seconds(batch: bool) -> Tuple[float, List[List[int]]]:
+        from ..engine.kernel import PoolMatchKernel
         from ..engine.verdicts import BorderColumns, VerdictMatrix
 
         total = 0.0
@@ -92,23 +92,28 @@ def run_batch_labelings(
         for _ in range(rounds):
             specification = build_loan_specification()
             specification.engine.kernel.enabled = True
-            specification.engine.kernel.batch.enabled = batch
             system = OBDMSystem(specification, database, name="loan_batch_e13")
             evaluator = MatchEvaluator(system, 1)
-            matrices = []
+            all_columns = []
             for labeling in layouts:
                 columns = BorderColumns.from_labeling(evaluator, labeling)
                 for border in columns.borders:
                     evaluator._border_abox(border)  # warm shared retrieval
-                matrices.append(VerdictMatrix(evaluator, columns))
-            start = time.perf_counter()
+                all_columns.append(columns)
             if batch:
+                matrices = [VerdictMatrix(evaluator, columns) for columns in all_columns]
+                start = time.perf_counter()
                 VerdictMatrix.build_batch(matrices, [pool] * len(matrices))
+                total += time.perf_counter() - start
+                rows = [[matrix.row(query) for query in pool] for matrix in matrices]
             else:
-                for matrix in matrices:
-                    matrix.build(pool)
-            total += time.perf_counter() - start
-            rows = [[matrix.row(query) for query in pool] for matrix in matrices]
+                # The per-labeling reference: one pool kernel per layout.
+                start = time.perf_counter()
+                rows = [
+                    PoolMatchKernel(evaluator, columns).rows(pool)
+                    for columns in all_columns
+                ]
+                total += time.perf_counter() - start
         return total, rows
 
     batch_seconds, batch_rows = build_seconds(batch=True)
@@ -119,8 +124,7 @@ def run_batch_labelings(
         "Batch kernel: bit-sliced multi-labeling rows + generator pruning",
         notes=(
             f"loan domain, |D|={len(database)} facts, {len(pool)} candidates × "
-            f"{len(layouts)} overlapping labelings, numpy slicing "
-            f"{'available' if batch_available() else 'UNAVAILABLE (fallback timed)'}"
+            f"{len(layouts)} overlapping labelings"
         ),
     )
     result.add_row(

@@ -1,24 +1,18 @@
-"""Experiment E17: whole-rewriting SQL pushdown + memory-mapped bit matrices.
+"""Experiment E17: whole-rewriting SQL pushdown.
 
 PR 9 moved *fact storage* out of core; the certain-answer check itself
 still ran in Python — :class:`~repro.obdm.certain_answers.CertainAnswerEngine`
 evaluated every disjunct of the perfect rewriting against the border's
-``FactIndex``, one homomorphism enumeration at a time.  This experiment
-measures the two halves of PR 10:
+``FactIndex``, one homomorphism enumeration at a time.  The engine now
+compiles the **entire rewritten UCQ into one SQL statement**
+(per-disjunct self-join SELECTs combined with ``UNION``, the border
+restriction a pushed-down constant filter) and hands it to the
+:class:`~repro.obdm.backend.SQLiteBackend` — one sqlite3 execution
+replaces ``O(|disjuncts| × |border facts|)`` Python work, gated by
+``engine.pushdown.enabled`` with a per-query ``PushdownUnsupported``
+fallback.
 
-* the engine now compiles the **entire rewritten UCQ into one SQL
-  statement** (per-disjunct self-join SELECTs combined with ``UNION``,
-  the border restriction a pushed-down constant filter) and hands it to
-  the :class:`~repro.obdm.backend.SQLiteBackend` — one sqlite3
-  execution replaces ``O(|disjuncts| × |border facts|)`` Python work,
-  gated by ``engine.pushdown.enabled`` with a per-query
-  ``PushdownUnsupported`` fallback;
-* :class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel` packs
-  its global verdict matrix into a ``numpy.memmap``-backed temp file
-  under ``engine.kernel.spill`` and slices layouts slab-by-slab, so
-  the 8×-wider unpacked intermediate never materialises at full size.
-
-Four rows over the banded loan domain:
+Two rows over the banded loan domain:
 
 * ``pushdown_identity`` — one workload served end-to-end (verdicts and
   kernel disabled, so serving routes through ``is_certain_answer``
@@ -38,24 +32,13 @@ Four rows over the banded loan domain:
   Answer sets and membership verdicts must agree item for item;
   ``benchmarks/bench_pushdown_rewriting.py`` gates the evaluation
   speedup at ``>= 3``×.
-* ``memmap_matrix`` — a deterministic synthetic bit matrix driven
-  through the exact production helpers (``pack_rows`` →
-  :func:`~repro.engine.batch_kernel.gather_packed_spilled` →
-  ``masked_popcounts``) in-RAM vs spilled, under :mod:`tracemalloc`:
-  packed ints, gathered slices and δ-counts must be bit-identical and
-  the spilled numpy heap peak strictly below the in-RAM peak.
-* ``memmap_batch_identity`` — the real path: one
-  ``MultiLabelingBatchKernel`` batch over two loan labelings with
-  ``engine.kernel.spill`` off vs on; every layout's rows and counts
-  must match bit for bit.
 """
 
 from __future__ import annotations
 
 import gc
 import time
-import tracemalloc
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..obdm.backend import SQLiteBackend
 from ..obdm.system import OBDMSystem
@@ -147,33 +130,6 @@ def _timed_certain_answer_pass(engine, database, pool, items):
     return answers, verdicts, setup_seconds, elapsed
 
 
-def _synthetic_rows(count: int, width: int) -> List[int]:
-    """Deterministic dense-ish bitset rows exercising every word boundary."""
-    mask = (1 << width) - 1
-    golden = 0x9E3779B97F4A7C15
-    return [((1 << (i % width)) | (i * golden) | (i << (i % 61))) & mask for i in range(count)]
-
-
-def _matrix_phase(rows: List[int], width: int, selection: List[int], mask: int, spill: bool):
-    """Pack → gather → popcount through the production helpers, peak-traced."""
-    from ..engine import batch_kernel as bk
-
-    gc.collect()
-    tracemalloc.start()
-    words = bk.pack_rows(rows, width, spill=spill)
-    if spill:
-        gathered_words, gathered_ints = bk.gather_packed_spilled(
-            words, selection, width, len(rows)
-        )
-    else:
-        local_bits = bk.unpack_bits(words, width)[:, selection]
-        gathered_words, gathered_ints = bk.pack_bit_matrix(local_bits)
-    counts = bk.masked_popcounts(gathered_words, mask, len(selection))
-    _current, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return gathered_ints, [int(value) for value in counts], peak
-
-
 def run_pushdown_rewriting(
     base_applicants: int = 24,
     scale: int = 10,
@@ -181,12 +137,10 @@ def run_pushdown_rewriting(
     labeled_per_side: int = 8,
     members_per_query: int = 3,
     repeats: int = 2,
-    matrix_rows: int = 1024,
-    matrix_width: int = 384,
     seed: int = 7,
     radius: int = 0,
 ) -> ExperimentResult:
-    """E17: pushdown identity + speedup, memmap matrix identity + heap peak."""
+    """E17: pushdown identity + certain-answer speedup."""
     workload = build_loan_pool(
         base_applicants, candidate_pool, labeled_per_side, labelings=2, seed=seed
     )
@@ -194,7 +148,7 @@ def run_pushdown_rewriting(
 
     result = ExperimentResult(
         "E17",
-        "Whole-rewriting SQL pushdown + memory-mapped batch bit matrices",
+        "Whole-rewriting SQL pushdown",
         notes=(
             f"loan domain, base |D|={len(base)} facts, scale x{scale}, "
             f"{len(pool)} candidates, radius={radius}"
@@ -280,60 +234,4 @@ def run_pushdown_rewriting(
         identical_answers=legacy_answers == push_answers,
         identical_verdicts=legacy_verdicts == push_verdicts,
     )
-
-    # -- memmap matrix: bit identity + heap peak ---------------------------
-    rows = _synthetic_rows(matrix_rows, matrix_width)
-    selection = [i for i in range(matrix_width) if i % 3 != 1]
-    mask = sum(1 << i for i in range(len(selection)) if i % 2 == 0)
-    ram_ints, ram_counts, ram_peak = _matrix_phase(
-        rows, matrix_width, selection, mask, spill=False
-    )
-    spill_ints, spill_counts, spill_peak = _matrix_phase(
-        rows, matrix_width, selection, mask, spill=True
-    )
-    result.add_row(
-        mode="memmap_matrix",
-        rows=matrix_rows,
-        width=matrix_width,
-        gathered_width=len(selection),
-        identical_ints=ram_ints == spill_ints,
-        identical_counts=ram_counts == spill_counts,
-        ram_peak_bytes=ram_peak,
-        spill_peak_bytes=spill_peak,
-        peak_ratio=round(spill_peak / ram_peak, 3) if ram_peak else None,
-    )
-
-    # -- memmap batch kernel: real-path identity ---------------------------
-    from ..core.matching import MatchEvaluator
-    from ..engine.batch_kernel import HAS_NUMPY
-
-    if HAS_NUMPY:
-        from ..engine.batch_kernel import MultiLabelingBatchKernel
-        from ..engine.verdicts import BorderColumns
-
-        batch_runs = {}
-        for spill in (False, True):
-            specification = build_loan_specification()
-            specification.engine.kernel.spill.enabled = spill
-            system = OBDMSystem(
-                specification, base.copy(name=f"pd_batch_{int(spill)}")
-            )
-            evaluator = MatchEvaluator(system, radius=radius)
-            layouts = [
-                BorderColumns.from_labeling(evaluator, lab)
-                for lab in workload.labelings
-            ]
-            batch = MultiLabelingBatchKernel(evaluator, layouts)
-            dispatched = batch.rows_for([pool] * len(layouts))
-            batch_runs[spill] = [
-                (layout.rows, layout.counts) for layout in dispatched
-            ]
-        result.add_row(
-            mode="memmap_batch_identity",
-            labelings=len(workload.labelings),
-            pool=len(pool),
-            identical_rows=batch_runs[False] == batch_runs[True],
-        )
-    else:  # pragma: no cover - the container bakes numpy in
-        result.add_row(mode="memmap_batch_identity", skipped="numpy unavailable")
     return result

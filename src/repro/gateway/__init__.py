@@ -45,7 +45,7 @@ specifications and tenants behind an asyncio surface, in four layers:
 The gateway adds *no* evaluation semantics of its own: every request is
 served by :meth:`ExplanationService.explain` on a worker thread, so all
 ``engine.*`` toggles are respected unchanged —
-``engine.cache/verdicts/kernel/kernel.batch/delta.enabled`` flip the
+``engine.cache/verdicts/kernel/delta/pushdown.enabled`` flip the
 substrate under the gateway exactly as they do under direct service
 use, and the differential suites' identity guarantees carry over
 verbatim.  Multiplexing only changes who pays, never the report

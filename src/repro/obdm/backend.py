@@ -136,10 +136,9 @@ def decode_value(text: str) -> Value:
 def encode_constants(args: Sequence[Constant]) -> bytes:
     """Length-prefixed binary encoding of a constant tuple.
 
-    Shared with the spill-mode argument store of
-    :class:`~repro.engine.kernel.UnifiedBorderIndex`: each value is the
-    UTF-8 bytes of its tagged encoding behind a 4-byte little-endian
-    length, so tuples concatenate without separator collisions.
+    Each value is the UTF-8 bytes of its tagged encoding behind a
+    4-byte little-endian length, so tuples concatenate without
+    separator collisions.
     """
     parts: List[bytes] = []
     for constant in args:

@@ -561,7 +561,7 @@ class ExplanationService:
         the pool the chosen ``strategy`` would generate per labeling)
         and hands all (matrix, pool) pairs to
         :meth:`~repro.engine.verdicts.VerdictMatrix.build_batch` — when
-        the batch kernel is enabled the whole fleet's verdict rows come
+        the kernel is enabled the whole fleet's verdict rows come
         from one J-match pass over the union of the labelings' borders.
         Subsequent :meth:`explain` calls for these labelings then run at
         warm-cache speed.

@@ -1,16 +1,11 @@
 """Differential suite for fact-level database drift (deltas).
 
-Pins four contracts of the delta path:
+Pins three contracts of the delta path:
 
 * **delta algebra** — :class:`~repro.obdm.database.DatabaseDelta`
   validation, deduplication, inversion, and the database's
   order-independent content fingerprint (apply + inverse restores it;
   a rejected delta leaves the database untouched);
-* **in-place index patching** —
-  :meth:`~repro.engine.kernel.UnifiedBorderIndex.apply_patch` yields an
-  index observationally identical to one rebuilt from scratch over the
-  new entries (supports, candidate masks, full mask), with tombstoned
-  rows inert;
 * **incremental = cold** — a resident
   :class:`~repro.service.ExplanationService` absorbing a seeded random
   add/remove delta stream serves rankings byte-identical to a cold
@@ -30,7 +25,6 @@ import pytest
 
 from repro.core.explainer import OntologyExplainer
 from repro.core.labeling import Labeling
-from repro.engine.kernel import UnifiedBorderIndex
 from repro.errors import SchemaError
 from repro.experiments.kernel_exp import (
     PROBE_DOMAINS,
@@ -130,69 +124,6 @@ class TestDatabaseDelta:
             database.apply_delta(DatabaseDelta.of([ghost], [phantom]))
         assert database.fingerprint() == before
         assert ghost not in database.facts
-
-
-# -- in-place index patching --------------------------------------------------
-
-
-def _entries(database: SourceDatabase, chunks: int):
-    """Split the database's facts into *chunks* synthetic border columns."""
-    facts = sorted(database.facts, key=str)
-    size = max(1, len(facts) // chunks)
-    return [
-        (bit, frozenset(facts[bit * size : (bit + 1) * size])) for bit in range(chunks)
-    ]
-
-
-def _assert_same_index(patched: UnifiedBorderIndex, rebuilt: UnifiedBorderIndex, atoms):
-    assert patched.full_mask == rebuilt.full_mask
-    for atom in atoms:
-        assert patched.support(atom) == rebuilt.support(atom), str(atom)
-        patched_rows = {
-            (args, mask) for args, mask in patched.candidates(atom) if mask
-        }
-        rebuilt_rows = {
-            (args, mask) for args, mask in rebuilt.candidates(atom) if mask
-        }
-        assert patched_rows == rebuilt_rows, str(atom)
-
-
-class TestApplyPatch:
-    def test_patched_index_matches_rebuild(self):
-        database = build_probe_system("university").database
-        entries = _entries(database, 4)
-        index = UnifiedBorderIndex(entries)
-        probe_atoms = [fact for _bit, facts in entries for fact in sorted(facts, key=str)[:3]]
-        for atom in probe_atoms:  # pre-warm the support memo
-            index.support(atom)
-        removed = sorted(entries[1][1], key=str)[0]
-        replacement = _fact(removed.predicate, *(["PATCHED"] * len(removed.args)))
-        new_facts = frozenset(entries[1][1] - {removed} | {replacement})
-        touched = index.apply_patch([(1, new_facts)])
-        assert removed.predicate in touched
-        rebuilt = UnifiedBorderIndex(
-            [(bit, new_facts if bit == 1 else facts) for bit, facts in entries]
-        )
-        _assert_same_index(index, rebuilt, probe_atoms + [replacement])
-
-    def test_emptied_column_is_tombstoned(self):
-        database = build_probe_system("university").database
-        entries = _entries(database, 3)
-        index = UnifiedBorderIndex(entries)
-        index.apply_patch([(2, frozenset())])
-        for _bit, facts in entries:
-            for fact in facts:
-                assert index.support(fact) & (1 << 2) == 0
-        # full_mask keeps the bit: it records covered columns, not
-        # non-empty ones.
-        assert index.full_mask & (1 << 2)
-
-    def test_empty_patch_is_noop(self):
-        database = build_probe_system("university").database
-        index = UnifiedBorderIndex(_entries(database, 2))
-        before = index.full_mask
-        assert index.apply_patch([]) == frozenset()
-        assert index.full_mask == before
 
 
 # -- incremental vs cold over random delta streams ----------------------------

@@ -398,11 +398,16 @@ def test_apply_drift_fresh_columns_via_kernel():
     matrix = VerdictMatrix(evaluator, BorderColumns.from_labeling(evaluator, labeling))
     pool = _candidate_pool(system)
     matrix.build(pool)
+    stats = system.specification.engine.cache.stats
+    before = stats.as_dict()
     drifted = matrix.apply_drift(
         added=[(constants[6], 1), (constants[7], -1)],
         removed=[constants[0]],
         flipped=[constants[3]],
     )
+    # Every known query (UCQs included) gets its fresh columns from one
+    # batch-kernel dispatch over just those columns.
+    assert stats.delta_since(before).get("batch_dispatches") == 1
     cold_labeling = Labeling(
         positives=[constants[1], constants[2], constants[6], constants[3]],
         negatives=[constants[4], constants[5], constants[7]],
